@@ -1,11 +1,16 @@
 package simnet
 
 import (
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"banyan/internal/faultinject"
+	"banyan/internal/topology"
 )
 
-// arenaLive counts arenas currently checked out of the pools — scalar
+// arenaLive counts arenas currently checked out of the caches — scalar
 // and laned. Every engine entry point increments it at checkout and
 // release decrements it on every exit path (release runs deferred, so
 // panics and cancellations are covered too). The chaos battery asserts
@@ -13,21 +18,64 @@ import (
 // exit path leaked pooled scratch.
 var arenaLive atomic.Int64
 
+// arenasMade counts arenas ever constructed, scalar and laned: a warm
+// cache keeps it still across back-to-back runs.
+var arenasMade atomic.Int64
+
 // ArenaLive reports how many pooled kernel arenas are checked out right
 // now. Zero when no engine invocation is in flight.
 func ArenaLive() int64 { return arenaLive.Load() }
 
-// getArena checks a scalar arena out of the pool.
+// freeList is the arena cache: a mutex-guarded LIFO free list holding
+// at most GOMAXPROCS released arenas, one per engine that can run at
+// once. Unlike a sync.Pool it is neither per-P nor emptied by the
+// garbage collector, so whether a run finds a warm arena depends only
+// on how many runs are in flight — and the steady-state allocation of
+// back-to-back replications is a function of the config alone.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get pops the most recently released entry, or makes a new one.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		arenasMade.Add(1)
+		return new(T)
+	}
+	a := f.items[n-1]
+	f.items = f.items[:n-1]
+	return a
+}
+
+// put caches a released entry unless the list is full.
+func (f *freeList[T]) put(a *T) {
+	f.mu.Lock()
+	if len(f.items) < runtime.GOMAXPROCS(0) {
+		f.items = append(f.items, a)
+	}
+	f.mu.Unlock()
+}
+
+var (
+	arenas     freeList[arena]
+	laneArenas freeList[lanesArena]
+)
+
+// getArena checks a scalar arena out of the cache.
 func getArena() *arena {
-	a := arenaPool.Get().(*arena)
+	a := arenas.get()
 	a.checkedOut = true
 	arenaLive.Add(1)
 	return a
 }
 
-// getLanesArena checks a laned arena out of the pool.
+// getLanesArena checks a laned arena out of the cache.
 func getLanesArena() *lanesArena {
-	a := lanesArenaPool.Get().(*lanesArena)
+	a := laneArenas.get()
 	a.checkedOut = true
 	arenaLive.Add(1)
 	return a
@@ -37,10 +85,13 @@ func getLanesArena() *lanesArena {
 // structure-of-arrays in-flight message store, the per-stage schedule
 // rings, the per-port free-time table and (on the streaming path) the
 // trace-block buffers. One arena serves one run at a time; runs obtain
-// it from arenaPool, so replications executed back to back — the sweep
-// worker loop — reuse the same backing arrays instead of regrowing them
-// every run. The kernel's steady-state hot loop performs no allocation:
-// every per-message and per-cycle structure below is indexed scratch.
+// it from the arena cache, so replications executed back to back — the
+// sweep worker loop — reuse the same backing arrays instead of
+// regrowing them every run. The graph engine runs on the same arenas:
+// committed mode is the kernel itself, and blocking mode keeps its
+// queues and per-slot state here too. The kernel's steady-state hot
+// loop performs no allocation: every per-message and per-cycle
+// structure below is indexed scratch.
 //
 // Slot layout. A message in flight occupies one slot index into msl
 // (plus a stride-Stages lane of waits when per-stage waits are
@@ -67,6 +118,23 @@ type arena struct {
 	free []int64   // per-stage, per-port next-free cycle
 	vec  []float64 // covariance scratch
 
+	rt     router  // the run's routing data
+	omega  []int32 // the stage model's shared (row·k+digit) mod rows table
+	omegaK int     // the radix omega was built for
+
+	// rel schedules the release of last-stage switch residencies by
+	// switch id (graph runs with per-switch counters only).
+	rel kring
+
+	// Blocking-mode scratch (graph engine with finite buffers): per-slot
+	// logical arrival state, the output-port FIFOs, the parked sender
+	// ports, held stage-1 arrivals and the two delivery lists.
+	lit    []litRec
+	queues []literalQueue // stage·rows + row
+	parked []int32        // stage·rows + row, for stages below the last; -1 when clear
+	held   []int32
+	deliv  [2][]int32
+
 	// Trace-block scratch lent to a kernel-owned TraceStream for the
 	// run's duration and harvested back grown, so back-to-back runs do
 	// not regrow the generator's block arrays either.
@@ -90,9 +158,84 @@ type mrec struct {
 	meas bool
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+// litRec is a blocking-mode message's position: the logical arrival
+// cycle at the queue it occupies (or is due to join) and that queue's
+// 1-based stage.
+type litRec struct {
+	at    int32
+	stage int8
+}
 
-// Retention caps applied when an arena returns to the pool: scratch
+// router is a run's routing data: at 0-based stage s a message on row r
+// whose stage digit is d joins output row next[s][r·k+d]. The digit is
+// read off the destination by shift and mask when the radix is a power
+// of two, by division otherwise. The stage model routes every stage
+// through one shared omega table; the graph engine passes its wiring's
+// tables and digit order.
+type router struct {
+	next  [][]int32
+	div   []uint32
+	shift []uint
+	k     int
+	pow2  bool
+	logk  uint
+	kmask uint32
+}
+
+// digit returns the routing digit dest consumes at 0-based stage s.
+func (r *router) digit(s int, dest uint32) int {
+	if r.pow2 {
+		return int(dest >> r.shift[s] & r.kmask)
+	}
+	return int(dest/r.div[s]) % r.k
+}
+
+// stageRoute routes a stage-model run over meta: every stage shares one
+// (row·k+digit) mod rows table, built once per (k, rows) and kept.
+func (a *arena) stageRoute(meta *TraceMeta) *router {
+	k, rows := meta.K, meta.Rows
+	if a.omegaK != k || len(a.omega) != rows*k {
+		a.omega = make([]int32, rows*k)
+		for i := range a.omega {
+			a.omega[i] = int32(i % rows)
+		}
+		a.omegaK = k
+	}
+	a.rt.next = a.rt.next[:0]
+	for range meta.Stages {
+		a.rt.next = append(a.rt.next, a.omega)
+	}
+	a.rt.div = append(a.rt.div[:0], meta.digitDiv...)
+	return a.setRoute(k)
+}
+
+// wiredRoute routes a graph run through w's tables and digit order.
+func (a *arena) wiredRoute(w *topology.Wiring) *router {
+	a.rt.next, a.rt.div = a.rt.next[:0], a.rt.div[:0]
+	for s := 1; s <= w.Stages(); s++ {
+		a.rt.next = append(a.rt.next, w.NextTable(s))
+		a.rt.div = append(a.rt.div, w.DigitDiv(s))
+	}
+	return a.setRoute(w.Radix())
+}
+
+// setRoute derives the digit extraction for radix k from the divisors.
+func (a *arena) setRoute(k int) *router {
+	r := &a.rt
+	r.k = k
+	r.pow2 = k&(k-1) == 0
+	r.shift = r.shift[:0]
+	if r.pow2 {
+		r.logk = uint(bits.TrailingZeros32(uint32(k)))
+		r.kmask = uint32(k - 1)
+		for _, d := range r.div {
+			r.shift = append(r.shift, uint(bits.TrailingZeros32(d)))
+		}
+	}
+	return r
+}
+
+// Retention caps applied when an arena returns to the cache: scratch
 // grown by a pathological point (saturated high-ρ runs can hold tens of
 // thousands of messages in flight) is dropped rather than pinned for
 // the rest of the process. Ordinary points sit far below every cap, so
@@ -131,9 +274,63 @@ func (a *arena) prepare(n, rows int, trackWaits bool) {
 	for i := 0; i < n-1; i++ {
 		a.rings[i].reset()
 	}
+	a.rel.reset()
 	if trackWaits && len(a.waits) < len(a.msl)*n {
 		a.waits = make([]int16, len(a.msl)*n)
 	}
+}
+
+// prepareBlocking additionally resets the blocking-mode scratch for a
+// run over n stages and rows ports per stage.
+func (a *arena) prepareBlocking(n, rows int) {
+	need := n * rows
+	if cap(a.queues) < need {
+		a.queues = make([]literalQueue, need)
+	}
+	a.queues = a.queues[:need]
+	for i := range a.queues {
+		q := &a.queues[i]
+		q.head, q.n, q.freeAt = 0, 0, 0
+	}
+	if cap(a.parked) < need-rows {
+		a.parked = make([]int32, need-rows)
+	}
+	a.parked = a.parked[:need-rows]
+	for i := range a.parked {
+		a.parked[i] = -1
+	}
+	a.held = a.held[:0]
+	a.deliv[0], a.deliv[1] = a.deliv[0][:0], a.deliv[1][:0]
+	if len(a.lit) < len(a.msl) {
+		a.lit = make([]litRec, len(a.msl))
+	}
+}
+
+// slot hands out a message slot: a recycled one when the free list has
+// one, else the next never-used slot, growing the store when it is full
+// (callers reload msl and waits). A never-used slot first gives the
+// fault injector its chance to fire.
+func (a *arena) slot(fi *faultinject.RepFault, pc *runProbe, stride int, trackWaits bool) int32 {
+	if fn := len(a.freeSlots); fn > 0 {
+		si := a.freeSlots[fn-1]
+		a.freeSlots = a.freeSlots[:fn-1]
+		if pc != nil {
+			pc.freeHits++
+		}
+		return si
+	}
+	if fi != nil {
+		fi.OnSlotAlloc() // may panic with a typed injected error
+	}
+	if a.used == len(a.msl) {
+		a.growSlots(stride, trackWaits)
+	}
+	si := int32(a.used)
+	a.used++
+	if pc != nil {
+		pc.slotAllocs++
+	}
+	return si
 }
 
 // growSlots doubles the slot store, preserving live slots. stride is
@@ -181,42 +378,55 @@ func (a *arena) harvestBlockScratch(s *TraceStream) {
 	s.blk.T, s.blk.In, s.blk.Dest, s.blk.Svc, s.blk.Meas = nil, nil, nil, nil, nil
 }
 
-// release returns the arena to the pool, dropping any scratch grown
-// past the retention caps.
+// release returns the arena to the cache, dropping any scratch grown
+// past the retention caps. Only a checked-out arena is cached, so a
+// double release cannot hand one arena to two runs.
 func (a *arena) release() {
-	if a.checkedOut {
+	checkedOut := a.checkedOut
+	if checkedOut {
 		a.checkedOut = false
 		arenaLive.Add(-1)
 	}
 	if len(a.msl) > maxRetainSlots {
-		a.msl = nil
-		a.freeSlots = nil
-		a.used = 0
+		a.msl, a.lit, a.freeSlots, a.used = nil, nil, nil, 0
 	}
-	if len(a.waits) > maxRetainWaits {
-		a.waits = nil
-	}
-	if cap(a.freeSlots) > maxRetainSlots {
-		a.freeSlots = nil
-	}
+	a.waits = capped(a.waits, maxRetainWaits)
+	a.freeSlots = capped(a.freeSlots, maxRetainSlots)
 	for i := range a.rings {
-		if len(a.rings[i].buf) > maxRetainRingCycles || a.rings[i].spanCapacity() > maxRetainRingSpan {
-			a.rings[i] = kring{}
-		}
+		a.rings[i].trim()
 	}
-	if cap(a.batch) > maxRetainBatch {
-		a.batch = nil
+	a.rel.trim()
+	a.batch = capped(a.batch, maxRetainBatch)
+	a.held = capped(a.held, maxRetainBatch)
+	a.deliv[0], a.deliv[1] = capped(a.deliv[0], maxRetainBatch), capped(a.deliv[1], maxRetainBatch)
+	a.free = capped(a.free, maxRetainPorts)
+	a.omega = capped(a.omega, maxRetainPorts)
+	a.parked = capped(a.parked, maxRetainPorts)
+	queued := 0
+	for i := range a.queues {
+		queued += len(a.queues[i].items)
 	}
-	if cap(a.free) > maxRetainPorts {
-		a.free = nil
+	if cap(a.queues) > maxRetainPorts || queued > maxRetainSlots {
+		a.queues = nil
 	}
 	if cap(a.blkT) > maxRetainBlk {
 		a.blkT, a.blkIn, a.blkDest, a.blkSvc, a.blkMeas = nil, nil, nil, nil, nil
 	}
-	arenaPool.Put(a)
+	clear(a.rt.next) // drop the run's wiring tables
+	if checkedOut {
+		arenas.put(a)
+	}
 }
 
-// lanesArena is the laned kernel's counterpart of arena: pooled
+// capped returns s, or nil when its capacity exceeds the retention cap.
+func capped[T any](s []T, max int) []T {
+	if cap(s) > max {
+		return nil
+	}
+	return s
+}
+
+// lanesArena is the laned kernel's counterpart of arena: cached
 // scratch serving W lock-step replications (lanes) of the same
 // configuration. Every array that carries per-replication state is per
 // lane — the slot store, the wait lanes, the free lists, the schedule
@@ -226,7 +436,7 @@ func (a *arena) release() {
 // lanes, its own rings in push order. Keeping slot stores dense per
 // lane (rather than interleaving lanes into one shared store) is what
 // keeps the per-message cache traffic at the scalar kernel's level;
-// lanes share only the pool round-trip, the lane-segmented free-time
+// lanes share only the cache round-trip, the lane-segmented free-time
 // table and the covariance scratch.
 type lanesArena struct {
 	msl   [][]mrec  // per-lane slot stores, indexed by lane-local slot
@@ -243,8 +453,6 @@ type lanesArena struct {
 
 	checkedOut bool // set by getLanesArena, cleared by release (ArenaLive accounting)
 }
-
-var lanesArenaPool = sync.Pool{New: func() any { return new(lanesArena) }}
 
 // prepare resets the arena for a W-lane run over n stages and rows
 // ports per stage, reusing every backing array that is already large
@@ -332,55 +540,46 @@ func (a *lanesArena) harvestBlockScratch(l int, s *TraceStream) {
 	s.blk.T, s.blk.In, s.blk.Dest, s.blk.Svc, s.blk.Meas = nil, nil, nil, nil, nil
 }
 
-// release returns the arena to the pool, dropping scratch grown past
+// release returns the arena to the cache, dropping scratch grown past
 // the same retention caps arena.release applies: the caps bound total
 // retained bytes, so they apply to the shared arrays as a whole and to
 // each per-lane array individually.
 func (a *lanesArena) release() {
-	if a.checkedOut {
+	checkedOut := a.checkedOut
+	if checkedOut {
 		a.checkedOut = false
 		arenaLive.Add(-1)
 	}
 	for l := range a.msl {
-		if len(a.msl[l]) > maxRetainSlots {
-			a.msl[l] = nil
-		}
+		a.msl[l] = capped(a.msl[l], maxRetainSlots)
 	}
 	for l := range a.waits {
-		if len(a.waits[l]) > maxRetainWaits {
-			a.waits[l] = nil
-		}
+		a.waits[l] = capped(a.waits[l], maxRetainWaits)
 	}
 	for l := range a.freeSlots {
-		if cap(a.freeSlots[l]) > maxRetainSlots {
-			a.freeSlots[l] = nil
-		}
-	}
-	for i := range a.rings {
-		if len(a.rings[i].buf) > maxRetainRingCycles || a.rings[i].spanCapacity() > maxRetainRingSpan {
-			a.rings[i] = kring{}
-		}
+		a.freeSlots[l] = capped(a.freeSlots[l], maxRetainSlots)
 	}
 	for l := range a.laneBatch {
-		if cap(a.laneBatch[l]) > maxRetainBatch {
-			a.laneBatch[l] = nil
-		}
-	}
-	if cap(a.free) > maxRetainPorts {
-		a.free = nil
+		a.laneBatch[l] = capped(a.laneBatch[l], maxRetainBatch)
 	}
 	for l := range a.blks {
 		if cap(a.blks[l].T) > maxRetainBlk {
 			a.blks[l] = TraceBlock{}
 		}
 	}
-	lanesArenaPool.Put(a)
+	for i := range a.rings {
+		a.rings[i].trim()
+	}
+	a.free = capped(a.free, maxRetainPorts)
+	if checkedOut {
+		laneArenas.put(a)
+	}
 }
 
 // kring is the kernel's flat schedule ring for one stage: a growable
 // power-of-two ring indexed by absolute cycle, where each cell is a
 // contiguous bucket of slot indices whose capacity is retained across
-// cycles — and, via the arena pool, across runs — so the steady state
+// cycles — and, via the arena cache, across runs — so the steady state
 // pushes into pre-grown storage and never allocates. It replaces
 // cycleBuckets' take-ownership/recycle free-list protocol: a take
 // memcpys the cycle's bucket into the caller's batch and resets it in
@@ -451,6 +650,13 @@ func (r *kring) take(t int64, batch []int32) []int32 {
 	r.buf[i] = b[:0]
 	r.count -= int64(len(b))
 	return batch
+}
+
+// trim drops a ring grown past the retention caps.
+func (r *kring) trim() {
+	if len(r.buf) > maxRetainRingCycles || r.spanCapacity() > maxRetainRingSpan {
+		*r = kring{}
+	}
 }
 
 // spanCapacity reports the total bucket capacity retained by the ring,

@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
+
+	"banyan/internal/topology"
 )
 
 // TestCycleBucketsSpareRetention is the regression test for the spare
@@ -146,5 +149,43 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	b.release()
 	if len(b.msl) != 256 || cap(b.batch) != 1024 {
 		t.Fatal("release dropped ordinarily sized scratch")
+	}
+}
+
+// TestArenaCacheSurvivesGC: once warm, back-to-back RunCtx and RunGraph
+// calls (committed and blocking) find the cached arena again after every
+// garbage collection, at GOMAXPROCS 1 and 2. The cache is neither per-P
+// nor emptied by the collector, so a steady-state replication never
+// constructs — and regrows — a fresh arena.
+func TestArenaCacheSurvivesGC(t *testing.T) {
+	kernel := Config{K: 2, Stages: 4, P: 0.5, Cycles: 400, Warmup: 50, Seed: 3}
+	committed := kernel
+	committed.Topology = topology.Omega
+	committed.TrackSwitches = true
+	blocking := committed
+	blocking.StageBuffers = []int{4, 4, 4, 4}
+	runAll := func() {
+		t.Helper()
+		for _, c := range []struct {
+			run func(*Config) (*Result, error)
+			cfg *Config
+		}{{Run, &kernel}, {RunGraph, &committed}, {RunGraph, &blocking}} {
+			runtime.GC()
+			if _, err := c.run(c.cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		runAll()
+		made := arenasMade.Load()
+		for i := 0; i < 4; i++ {
+			runAll()
+		}
+		runtime.GOMAXPROCS(prev)
+		if got := arenasMade.Load() - made; got != 0 {
+			t.Errorf("GOMAXPROCS=%d: warm runs constructed %d new arenas", procs, got)
+		}
 	}
 }

@@ -125,6 +125,9 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.requireStageModel("fast"); err != nil {
+		return nil, err
+	}
 	// The stream is private to this run, so it can borrow the arena's
 	// block scratch — back-to-back replications then allocate nothing
 	// for trace generation either.
@@ -134,7 +137,7 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 		ar.harvestBlockScratch(src)
 		ar.release()
 	}()
-	return runKernel(ctx, cfg, src, ar)
+	return runKernel(ctx, cfg, src, ar, nil)
 }
 
 // RunTrace executes the fast message-level engine on a prepared
@@ -258,6 +261,26 @@ func RunSource(cfg *Config, src ArrivalSource) (*Result, error) {
 // measurable while stops still land within a few thousand cycles.
 const ctxCheckMask = 1023
 
+// pollCycle is every cycle loop's stop check at cycle t. An armed chaos
+// fault fires first — on the executed-cycle sequence, deterministic for
+// a config and seed; it may panic, stall or return a typed injected
+// error — then, on the context-poll cadence, the probe ticks and ctx is
+// checked. A non-nil error stops the run at cycle t.
+func pollCycle(ctx context.Context, cfg *Config, pc *runProbe, t int64) error {
+	if cfg.Fault != nil {
+		if err := cfg.Fault.AtCycle(ctx, t); err != nil {
+			return err
+		}
+	}
+	if t&ctxCheckMask != 0 {
+		return nil
+	}
+	if pc != nil {
+		pc.tick(cfg.Probe, t)
+	}
+	return ctx.Err()
+}
+
 // RunSourceCtx is RunSource with cancellation and saturation guards.
 //
 // Cancellation (ctx done) stops the engine at a clean cycle boundary: it
@@ -335,20 +358,9 @@ func RunSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result,
 	drainLimit := cfg.drainLimit(meta.Horizon)
 
 	for ; ; t++ {
-		if fi != nil {
-			if err := fi.AtCycle(ctx, t); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if t&ctxCheckMask == 0 {
-			if pc != nil {
-				pc.tick(cfg.Probe, t)
-			}
-			if err := ctx.Err(); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
+		if err := pollCycle(ctx, cfg, pc, t); err != nil {
+			res.truncate(t, false)
+			return res, err
 		}
 		if active > maxInFlight {
 			// Backlog growing without bound: the divergence signature of

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"testing"
 
@@ -114,7 +115,9 @@ func TestGoldenLiteralEngine(t *testing.T) {
 // graph engine must reproduce the kernel's recorded values bit for bit
 // (the collapse contract anchored to goldens). The remaining entries
 // pin the graph-only scenarios — alternate wirings, finite buffers
-// with backpressure, hot-spot traffic, and link-failure rerouting.
+// with backpressure, hot-spot traffic, and link-failure rerouting and
+// dropping — including the graph-only outputs: blocked cycles,
+// deflections, misroutes and a digest of the per-switch verdicts.
 func TestGoldenGraphEngine(t *testing.T) {
 	want := map[string]golden{
 		"uniform": fastGolden["uniform"],
@@ -127,6 +130,20 @@ func TestGoldenGraphEngine(t *testing.T) {
 		"blocking":  {messages: 16711, offered: 18973, dropped: 0, meanW: "3.171743163", varW: "9.035192216", stage1W: "0.930883849"},
 		"hotspot":   {messages: 9743, offered: 10944, dropped: 0, meanW: "312.8739608", varW: "280177.0052", stage1W: "0.3086318382"},
 		"faillink":  {messages: 14476, offered: 16356, dropped: 0, meanW: "24.44597955", varW: "4526.822241", stage1W: "0.3941005803"},
+		"faildrop":  {messages: 13583, offered: 16356, dropped: 1013, meanW: "1.61208864", varW: "2.324014948", stage1W: "0.3941005803"},
+		"blocking hotspot": {messages: 11956, offered: 13597, dropped: 0, meanW: "1.482686517", varW: "4.016846446",
+			stage1W: "0.293994647"},
+	}
+	wantGraph := map[string]graphGolden{
+		"uniform":   {},
+		"butterfly": {},
+		"flip":      {},
+		"blocking":  {blocked: 3523},
+		"hotspot":   {switches: "n=32 hw=2504 blocked=0 sat=3 fnv=43e174e6d8a3073b"},
+		"faillink":  {deflected: 1013, misrouted: 1013},
+		"faildrop":  {switches: "n=32 hw=185 blocked=0 sat=0 fnv=8e79eac9cc8bafd0"},
+		"blocking hotspot": {blocked: 563,
+			switches: "n=32 hw=164 blocked=563 sat=18 fnv=75ae9892c34c5904"},
 	}
 	cases := []struct {
 		name string
@@ -140,9 +157,13 @@ func TestGoldenGraphEngine(t *testing.T) {
 		{"blocking", Config{K: 2, Stages: 4, P: 0.7, Cycles: 1500, Warmup: 200, Seed: 0x117,
 			StageBuffers: []int{4, 4, 4, 4}}},
 		{"hotspot", Config{K: 2, Stages: 4, P: 0.5, HotModule: 0.25, Cycles: 1200, Warmup: 150,
-			Seed: 0x407}},
+			Seed: 0x407, TrackSwitches: true}},
 		{"faillink", Config{K: 2, Stages: 4, P: 0.6, Cycles: 1500, Warmup: 200, Seed: 0xfa11,
 			FailLinks: []LinkFail{{Stage: 2, Row: 3}}, FailPolicy: "reroute"}},
+		{"faildrop", Config{K: 2, Stages: 4, P: 0.6, Cycles: 1500, Warmup: 200, Seed: 0xfa11,
+			FailLinks: []LinkFail{{Stage: 2, Row: 3}}, FailPolicy: "drop", TrackSwitches: true}},
+		{"blocking hotspot", Config{K: 2, Stages: 4, P: 0.5, HotModule: 0.05, Cycles: 1500, Warmup: 200,
+			Seed: 0xb407, StageBuffers: []int{4, 4, 4, 4}, TrackSwitches: true}},
 	}
 	for _, c := range cases {
 		cfg := c.cfg
@@ -151,5 +172,52 @@ func TestGoldenGraphEngine(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		checkGolden(t, c.name, res, want)
+		checkGraphGolden(t, c.name, res, wantGraph)
+	}
+}
+
+// graphGolden pins the graph engine's graph-only outputs.
+type graphGolden struct {
+	blocked, deflected, misrouted int64
+	switches                      string // switchDigest of SwitchSat; "" when untracked
+}
+
+// switchDigest summarizes Result.SwitchSat: entry count, the sums of
+// the high-water marks and blocked cycles, the saturated-switch count,
+// and an FNV-1a hash over every entry in order.
+func switchDigest(sat []SwitchStat) string {
+	if sat == nil {
+		return ""
+	}
+	h := fnv.New64a()
+	var hw, blk, nsat int64
+	for _, s := range sat {
+		fmt.Fprintf(h, "%d/%d:%d,%d,%t;", s.Stage, s.Switch, s.HighWater, s.Blocked, s.Saturated)
+		hw += s.HighWater
+		blk += s.Blocked
+		if s.Saturated {
+			nsat++
+		}
+	}
+	return fmt.Sprintf("n=%d hw=%d blocked=%d sat=%d fnv=%016x", len(sat), hw, blk, nsat, h.Sum64())
+}
+
+func checkGraphGolden(t *testing.T, name string, res *Result, want map[string]graphGolden) {
+	t.Helper()
+	got := graphGolden{
+		blocked: res.BlockedCycles, deflected: res.Deflected, misrouted: res.Misrouted,
+		switches: switchDigest(res.SwitchSat),
+	}
+	if os.Getenv("SIMNET_GOLDEN_PRINT") != "" {
+		t.Logf("%q: {blocked: %d, deflected: %d, misrouted: %d, switches: %q},",
+			name, got.blocked, got.deflected, got.misrouted, got.switches)
+		return
+	}
+	w, ok := want[name]
+	if !ok {
+		t.Fatalf("%s: no graph golden entry", name)
+	}
+	if got != w {
+		t.Errorf("%s graph outputs:\ngot  %+v\nwant %+v", name, got, w)
 	}
 }

@@ -3,7 +3,7 @@ package simnet
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
+	"sync"
 
 	"banyan/internal/stats"
 	"banyan/internal/topology"
@@ -12,26 +12,29 @@ import (
 // This file is the topology-true graph engine: it advances messages
 // switch by switch through an explicit k-ary n-stage delta network
 // (internal/topology's wiring tables) instead of the closed-form omega
-// arithmetic the stage-model engines hard-code. It runs in one of two
-// modes, selected by Config.StageBuffers:
+// arithmetic the stage model assumes. It runs in one of two modes,
+// selected by Config.StageBuffers:
 //
 //   - Committed mode (all buffers infinite, the default): a message's
 //     service start is committed the moment it is routed, exactly like
-//     the stage model. The loop mirrors RunSourceCtx decision for
-//     decision — same RNG draw sequence, same statistics update order,
-//     same guards — with the routing arithmetic replaced by wiring-table
-//     lookups. Under the omega wiring this engine is byte-identical to
-//     the kernel at every seed: that is the collapse contract the
-//     equivalence battery (TestGraphCollapsesToStageModel, the 5-way
-//     FuzzEngineEquivalence) enforces.
+//     the stage model. This mode is the batch kernel itself (runKernel)
+//     routing through the wiring's next-row tables and digit order,
+//     with the graph-only work — failure policy, per-switch counters,
+//     per-switch wait histograms — in the kernel's general loop. Under
+//     the omega wiring it is byte-identical to the stage model at every
+//     seed: that is the collapse contract the equivalence battery
+//     (TestGraphCollapsesToStageModel, the 5-way FuzzEngineEquivalence)
+//     enforces.
 //
 //   - Blocking mode (any finite StageBuffers entry): a literal
-//     cycle-driven walk with backpressure instead of loss. A message
-//     that finds its next queue full stays put, its output port stalls
-//     (head-of-line blocking) and the delivery retries every cycle;
-//     stage-1 arrivals finding a full queue are held at the source.
-//     Messages keep their logical enqueue timestamps while blocked, so
-//     per-stage waits still sum to the total delay.
+//     cycle-driven walk with backpressure instead of loss, the one
+//     graph loop of its own (runGraphBlocking), running on the kernel's
+//     arena, RNG and routing data. A message that finds its next queue
+//     full stays put, its output port stalls (head-of-line blocking)
+//     and the delivery retries every cycle; stage-1 arrivals finding a
+//     full queue are held at the source. Messages keep their logical
+//     enqueue timestamps while blocked, so per-stage waits still sum to
+//     the total delay.
 //
 // Per-switch telemetry (backlog high-water marks, blocked-cycle counts,
 // saturation verdicts) is hash-excluded observability: it flows through
@@ -48,12 +51,24 @@ func RunGraph(cfg *Config) (*Result, error) {
 // ctx.Err(); the deterministic saturation budgets return a
 // Truncated/Unstable result with a nil error.
 func RunGraphCtx(ctx context.Context, cfg *Config) (*Result, error) {
-	gcfg := graphDefaults(cfg)
-	src, err := NewTraceStream(gcfg, 0)
+	cfg = graphDefaults(cfg)
+	src, err := NewTraceStream(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	return RunGraphSourceCtx(ctx, gcfg, src)
+	wir, err := graphWiring(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The stream is private to this run, so it borrows the arena's
+	// block scratch, as RunCtx's does.
+	ar := getArena()
+	ar.lendBlockScratch(src)
+	defer func() {
+		ar.harvestBlockScratch(src)
+		ar.release()
+	}()
+	return runGraphOn(ctx, cfg, src, wir, ar)
 }
 
 // RunGraphTrace executes the graph engine on a prepared materialized
@@ -79,13 +94,37 @@ func graphDefaults(cfg *Config) *Config {
 	return &gcfg
 }
 
-// RunGraphSourceCtx is the graph engine's full entry point.
-func RunGraphSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
-	cfg = graphDefaults(cfg)
+// wirings memoizes graphWiring by (kind, k, n): a wiring is immutable
+// once built, and building one allocates per row.
+var wirings sync.Map // wiringKey → *topology.Wiring
+
+type wiringKey struct {
+	kind topology.Kind
+	k, n int
+}
+
+// graphWiring validates a defaulted graph configuration and returns its
+// wiring.
+func graphWiring(cfg *Config) (*topology.Wiring, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	wir, err := topology.WiringFor(cfg.Topology, cfg.K, cfg.Stages)
+	key := wiringKey{cfg.Topology, cfg.K, cfg.Stages}
+	if w, ok := wirings.Load(key); ok {
+		return w.(*topology.Wiring), nil
+	}
+	w, err := topology.WiringFor(cfg.Topology, cfg.K, cfg.Stages)
+	if err != nil {
+		return nil, err
+	}
+	wirings.Store(key, w)
+	return w, nil
+}
+
+// RunGraphSourceCtx is the graph engine's full entry point.
+func RunGraphSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
+	cfg = graphDefaults(cfg)
+	wir, err := graphWiring(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -96,24 +135,38 @@ func RunGraphSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Re
 // the test seam the switch-relabeling metamorphic suite drives with
 // relabeled (isomorphic) wirings.
 func runGraphWired(ctx context.Context, cfg *Config, src ArrivalSource, wir *topology.Wiring) (*Result, error) {
+	ar := getArena()
+	defer ar.release()
+	return runGraphOn(ctx, cfg, src, wir, ar)
+}
+
+// runGraphOn runs either mode on a checked-out arena and renders the
+// per-switch verdicts.
+func runGraphOn(ctx context.Context, cfg *Config, src ArrivalSource, wir *topology.Wiring, ar *arena) (*Result, error) {
 	meta := src.Meta()
 	if meta.Wrapped || meta.Rows != wir.Size() {
 		return nil, fmt.Errorf("simnet: graph engine needs the full %d-row network, trace has %d rows (wrapped=%v)",
 			wir.Size(), meta.Rows, meta.Wrapped)
 	}
 	g := newGraphNet(cfg, wir)
+	run := runKernel
 	if cfg.graphBlocking() {
-		return runGraphBlocking(ctx, cfg, src, g)
+		run = runGraphBlocking
 	}
-	return runGraphCommitted(ctx, cfg, src, g)
+	res, err := run(ctx, cfg, src, ar, g)
+	if res != nil && cfg.TrackSwitches {
+		res.SwitchSat = g.switchSat(cfg)
+	}
+	return res, err
 }
 
-// graphNet is the routing and telemetry state shared by both modes.
+// graphNet is the graph-only state shared by both modes: the wiring
+// (routing runs through the arena's router), switch ownership, the
+// failure map and the per-switch telemetry.
 type graphNet struct {
-	k, n, rows int
-	next       [][]int32 // next[s][row*k+digit]: output row at stage s+1
-	swid       [][]int32 // swid[s][row]: switch owning output row at stage s+1
-	div        []uint32  // digit divisor per stage
+	wir  *topology.Wiring
+	k    int
+	swid [][]int32 // swid[s][row]: switch owning output row at stage s+1
 
 	failed [][]bool // failed[s][row]: output link failed; nil when none
 	drop   bool     // failure policy: true = drop, false = reroute
@@ -128,34 +181,31 @@ type graphNet struct {
 }
 
 func newGraphNet(cfg *Config, wir *topology.Wiring) *graphNet {
+	n, rows := wir.Stages(), wir.Size()
 	g := &graphNet{
-		k: wir.Radix(), n: wir.Stages(), rows: wir.Size(),
-		next: make([][]int32, wir.Stages()),
-		swid: make([][]int32, wir.Stages()),
-		div:  make([]uint32, wir.Stages()),
+		wir: wir, k: wir.Radix(),
+		swid: make([][]int32, n),
 		drop: cfg.FailPolicy != "reroute",
 		swh:  cfg.SwitchWaitHists,
 	}
-	for s := 0; s < g.n; s++ {
-		g.next[s] = wir.NextTable(s + 1)
+	for s := 0; s < n; s++ {
 		g.swid[s] = wir.SwitchTable(s + 1)
-		g.div[s] = wir.DigitDiv(s + 1)
 	}
 	if len(cfg.FailLinks) > 0 {
-		g.failed = make([][]bool, g.n)
+		g.failed = make([][]bool, n)
 		for s := range g.failed {
-			g.failed[s] = make([]bool, g.rows)
+			g.failed[s] = make([]bool, rows)
 		}
 		for _, f := range cfg.FailLinks {
 			g.failed[f.Stage-1][f.Row] = true
 		}
 	}
 	if cfg.TrackSwitches || cfg.Probe != nil {
-		sw := g.rows / g.k
-		g.load = make([][]int32, g.n)
-		g.hw = make([][]int64, g.n)
-		g.blocked = make([][]int64, g.n)
-		for s := 0; s < g.n; s++ {
+		sw := rows / g.k
+		g.load = make([][]int32, n)
+		g.hw = make([][]int64, n)
+		g.blocked = make([][]int64, n)
+		for s := 0; s < n; s++ {
 			g.load[s] = make([]int32, sw)
 			g.hw[s] = make([]int64, sw)
 			g.blocked[s] = make([]int64, sw)
@@ -164,27 +214,21 @@ func newGraphNet(cfg *Config, wir *topology.Wiring) *graphNet {
 	return g
 }
 
-// resolve routes digit d out of row at 0-based stage, applying the
-// failure policy: on a failed link it either drops the message or
-// deflects it to the next healthy sister port of the same switch
-// (cyclic digit order). deflected=true marks a reroute; dropped=true
-// means no healthy port exists or the policy is drop.
-func (g *graphNet) resolve(stage int, row int32, digit int) (port int32, dropped, deflected bool) {
-	tbl := g.next[stage]
-	port = tbl[int(row)*g.k+digit]
-	if g.failed == nil || !g.failed[stage][port] {
-		return port, false, false
-	}
+// reroute applies the failure policy to a message on row whose routed
+// output link tbl[row·k+digit] failed (failed is the stage's failure
+// map): under reroute it deflects to the next healthy sister port of
+// the same switch, in cyclic digit order. ok=false means the message
+// is dropped — the policy is drop, or no healthy sister port exists.
+func (g *graphNet) reroute(tbl []int32, failed []bool, row int32, digit int) (port int32, ok bool) {
 	if g.drop {
-		return port, true, false
+		return 0, false
 	}
 	for off := 1; off < g.k; off++ {
-		p := tbl[int(row)*g.k+(digit+off)%g.k]
-		if !g.failed[stage][p] {
-			return p, false, true
+		if p := tbl[int(row)*g.k+(digit+off)%g.k]; !failed[p] {
+			return p, true
 		}
 	}
-	return port, true, false
+	return 0, false
 }
 
 // swJoin/swLeave maintain the per-switch backlog counters.
@@ -210,8 +254,8 @@ func (g *graphNet) swBlock(stage int, port int32) {
 // switchSat renders the counters into Result.SwitchSat verdicts.
 func (g *graphNet) switchSat(cfg *Config) []SwitchStat {
 	sd := int64(cfg.satDepth())
-	out := make([]SwitchStat, 0, g.n*g.rows/g.k)
-	for s := 0; s < g.n; s++ {
+	out := make([]SwitchStat, 0, len(g.hw)*len(g.hw[0]))
+	for s := range g.hw {
 		for id := range g.hw[s] {
 			out = append(out, SwitchStat{
 				Stage: s + 1, Switch: id,
@@ -222,281 +266,6 @@ func (g *graphNet) switchSat(cfg *Config) []SwitchStat {
 		}
 	}
 	return out
-}
-
-// runGraphCommitted is the committed-mode body. It is RunSourceCtx with
-// the omega arithmetic replaced by wiring-table lookups plus the
-// (hash-excluded) per-switch telemetry; every RNG draw, statistics
-// update and guard fires in the identical order, so under the omega
-// wiring it is byte-identical to the stage-model engines at every seed.
-// The failure-policy branches only execute when FailLinks is non-empty.
-func runGraphCommitted(ctx context.Context, cfg *Config, src ArrivalSource, g *graphNet) (*Result, error) {
-	meta := src.Meta()
-	n := g.n
-	res := &Result{
-		Rows:      meta.Rows,
-		Wrapped:   false,
-		StageWait: make([]stats.Welford, n),
-	}
-	if cfg.TrackStageWaits {
-		res.StageCov = stats.NewCovMatrix(n)
-	}
-	if cfg.HotModule > 0 {
-		res.HotWait = make([]stats.Welford, n)
-	}
-	if cfg.TrackSwitches {
-		defer func() { res.SwitchSat = g.switchSat(cfg) }()
-	}
-
-	rng := rand.New(rand.NewPCG(cfg.Seed^0xa5a5a5a5a5a5a5a5, cfg.Seed+1))
-	resample := cfg.serviceSampler()
-	free := make([]int64, n*meta.Rows)
-	pending := make([]*cycleBuckets, n)
-	for s := range pending {
-		pending[s] = newCycleBuckets()
-	}
-	// Per-switch residency bookkeeping: a message joining a port at
-	// cycle t with committed start s occupies the switch over [t, s];
-	// the decrement ring releases it at s+1. Only maintained when the
-	// counters exist.
-	var dec []*cycleBuckets
-	if g.load != nil {
-		dec = make([]*cycleBuckets, n)
-		for s := range dec {
-			dec[s] = newCycleBuckets()
-		}
-	}
-
-	var t int64
-	var pc *runProbe
-	if cfg.Probe != nil {
-		pc = newRunProbe(cfg, n, "graph")
-		pc.switchHW = g.hw
-		pc.switchBlocked = g.blocked
-		defer func() { pc.flush(cfg.Probe, t, res) }()
-	}
-	wh := cfg.WaitHists
-
-	fi := cfg.Fault
-	var slots []fastMsg
-	var freeSlots []int32
-	alloc := func() int32 {
-		if len(freeSlots) > 0 {
-			i := freeSlots[len(freeSlots)-1]
-			freeSlots = freeSlots[:len(freeSlots)-1]
-			if pc != nil {
-				pc.freeHits++
-			}
-			return i
-		}
-		if fi != nil {
-			fi.OnSlotAlloc() // may panic with a typed injected error
-		}
-		slots = append(slots, fastMsg{})
-		if pc != nil {
-			pc.slotAllocs++
-		}
-		return int32(len(slots) - 1)
-	}
-
-	inFlight := int64(0)
-	active := int64(0)
-	exhausted := false
-	covered := int64(0)
-	vec := make([]float64, n)
-	haveFail := g.failed != nil
-	maxInFlight := cfg.maxInFlight()
-	drainLimit := cfg.drainLimit(meta.Horizon)
-
-	for ; ; t++ {
-		if fi != nil {
-			if err := fi.AtCycle(ctx, t); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if t&ctxCheckMask == 0 {
-			if pc != nil {
-				pc.tick(cfg.Probe, t)
-			}
-			if err := ctx.Err(); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if active > maxInFlight {
-			res.truncate(t, true)
-			return res, nil
-		}
-		if t > drainLimit {
-			res.truncate(t, true)
-			return res, nil
-		}
-		// Release switch residencies expiring this cycle. Runs before the
-		// inFlight==0 skip below: last-stage releases can be pending with
-		// nothing in flight.
-		if dec != nil {
-			for s := 0; s < n; s++ {
-				bk := dec[s].take(t)
-				for _, id := range bk {
-					g.load[s][id]--
-				}
-				dec[s].recycle(bk)
-			}
-		}
-		for !exhausted && covered <= t {
-			blk, err := src.Next()
-			if err != nil {
-				return nil, err
-			}
-			if blk == nil {
-				exhausted = true
-				break
-			}
-			if pc != nil {
-				pc.blockPulls++
-			}
-			covered = int64(blk.End)
-			res.Offered += int64(blk.Len())
-			for i := 0; i < blk.Len(); i++ {
-				si := alloc()
-				m := &slots[si]
-				m.row, m.dest, m.svc, m.meas = blk.In[i], blk.Dest[i], blk.Svc[i], blk.Meas[i]
-				m.wsum = 0
-				if cfg.TrackStageWaits {
-					if cap(m.waits) < n {
-						m.waits = make([]int16, n)
-					}
-					m.waits = m.waits[:n]
-				}
-				pending[0].push(int64(blk.T[i]), si)
-				if pc != nil {
-					pc.enter(0)
-					pc.admit(si, m.meas, int64(blk.T[i]), m.dest)
-				}
-				inFlight++
-			}
-		}
-		if inFlight == 0 {
-			if exhausted {
-				break
-			}
-			continue
-		}
-
-		for stage := 0; stage < n; stage++ {
-			bk := pending[stage].take(t)
-			if len(bk) == 0 {
-				pending[stage].recycle(bk)
-				continue
-			}
-			if pc != nil {
-				pc.leave(stage, int64(len(bk)))
-			}
-			if stage == 0 {
-				active += int64(len(bk))
-				if pc != nil {
-					pc.active(active)
-				}
-			}
-			// Random service order among simultaneous arrivals — the same
-			// single Fisher–Yates draw per non-empty (cycle, stage) batch
-			// as the stage model.
-			rng.Shuffle(len(bk), func(a, b int) { bk[a], bk[b] = bk[b], bk[a] })
-			stageFree := free[stage*meta.Rows : (stage+1)*meta.Rows]
-			nextTbl := g.next[stage]
-			div := int64(g.div[stage])
-			for _, si := range bk {
-				m := &slots[si]
-				digit := int(int64(m.dest)/div) % g.k
-				var port int32
-				if !haveFail {
-					port = nextTbl[int(m.row)*g.k+digit]
-				} else {
-					var dropped, deflected bool
-					port, dropped, deflected = g.resolve(stage, m.row, digit)
-					if dropped {
-						res.Dropped++
-						if pc != nil {
-							pc.dropSpan(si)
-						}
-						freeSlots = append(freeSlots, si)
-						inFlight--
-						active--
-						continue
-					}
-					if deflected {
-						res.Deflected++
-					}
-				}
-				s := t
-				if f := stageFree[port]; f > s {
-					s = f
-				}
-				svc := int64(m.svc)
-				if resample != nil {
-					svc = int64(resample.Sample(rng.Float64(), rng.Float64()))
-				}
-				stageFree[port] = s + svc
-				w := int32(s - t)
-				m.wsum += w
-				if m.meas {
-					res.StageWait[stage].Add(float64(w))
-					if res.HotWait != nil && m.dest == 0 {
-						res.HotWait[stage].Add(float64(w))
-					}
-					if wh != nil {
-						wh[stage].Add(int(w))
-					}
-					if g.swh != nil {
-						g.swh[stage][g.swid[stage][port]].Add(int(w))
-					}
-				}
-				if pc != nil {
-					pc.stageObs(si, stage, m.meas, t, s, s+svc)
-				}
-				if m.waits != nil {
-					m.waits[stage] = int16(w)
-				}
-				if dec != nil {
-					g.swJoin(stage, port)
-					dec[stage].push(s+1, g.swid[stage][port])
-				}
-				if stage+1 < n {
-					m.row = port
-					pending[stage+1].push(s+1, si)
-					if pc != nil {
-						pc.enter(stage + 1)
-					}
-				} else {
-					if haveFail && port != int32(m.dest) {
-						res.Misrouted++
-					}
-					if m.meas {
-						res.Messages++
-						res.TotalWait.Add(int(m.wsum))
-						if res.StageCov != nil {
-							for j := 0; j < n; j++ {
-								vec[j] = float64(m.waits[j])
-							}
-							res.StageCov.Add(vec)
-						}
-					}
-					if pc != nil {
-						pc.finishObs(si, m.meas, int64(m.wsum))
-					}
-					freeSlots = append(freeSlots, si)
-					inFlight--
-					active--
-				}
-			}
-			pending[stage].recycle(bk)
-		}
-	}
-	if res.Messages == 0 {
-		return nil, fmt.Errorf("simnet: no measured messages (p too small or horizon too short)")
-	}
-	return res, nil
 }
 
 // runGraphBlocking is the blocking-mode body: a literal cycle-driven
@@ -517,41 +286,38 @@ func runGraphCommitted(ctx context.Context, cfg *Config, src ArrivalSource, g *g
 // queue — so per-stage waits sum to the total delay exactly as in
 // committed mode, and with effectively-infinite finite buffers the
 // statistics collapse to the stage model's.
-func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *graphNet) (*Result, error) {
+//
+// The loop runs on the kernel's machinery: the arena's slot store (a
+// slot is taken when a message is first offered to stage 1, reading the
+// schedule block by cursor), its queues and lists, krand's closure-free
+// shuffle, and the router's digit extraction.
+func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g *graphNet) (*Result, error) {
 	meta := src.Meta()
-	n := g.n
-	res := &Result{
-		Rows:      meta.Rows,
-		Wrapped:   false,
-		StageWait: make([]stats.Welford, n),
-	}
-	if cfg.TrackStageWaits {
+	n, rows := meta.Stages, meta.Rows
+	res := &Result{Rows: rows, StageWait: make([]stats.Welford, n)}
+	trackWaits := cfg.TrackStageWaits
+	if trackWaits {
 		res.StageCov = stats.NewCovMatrix(n)
 	}
 	if cfg.HotModule > 0 {
 		res.HotWait = make([]stats.Welford, n)
 	}
-	if cfg.TrackSwitches {
-		defer func() { res.SwitchSat = g.switchSat(cfg) }()
+	if cfg.TrackOccupancy {
+		res.QueueDepth = make([]stats.Welford, n)
+		res.MaxQueueDepth = make([]int, n)
 	}
 
-	caps := make([]int, n)
-	copy(caps, cfg.StageBuffers)
-	queues := make([][]literalQueue, n)
-	for s := range queues {
-		queues[s] = make([]literalQueue, meta.Rows)
-	}
-	// blockedSlot[s][r] parks the message served at stage s+1's output
-	// row r whose delivery to the next stage is stalled; -1 when the
-	// port is clear. The sender port cannot start another message while
-	// one is parked, so at most one message is ever parked per port.
-	blockedSlot := make([][]int32, n-1)
-	for s := range blockedSlot {
-		blockedSlot[s] = make([]int32, meta.Rows)
-		for r := range blockedSlot[s] {
-			blockedSlot[s][r] = -1
-		}
-	}
+	rng := newKrand(cfg.Seed^0xa5a5a5a5a5a5a5a5, cfg.Seed+1)
+	resample := cfg.serviceSampler()
+	ar.prepare(n, rows, trackWaits)
+	ar.prepareBlocking(n, rows)
+	rt := ar.wiredRoute(g.wir)
+	k := rt.k
+	caps := cfg.StageBuffers
+	queues, parked := ar.queues, ar.parked
+	msl, waits, lit, vec := ar.msl, ar.waits, ar.lit, ar.vec
+	track := g.load != nil
+	fail := g.failed != nil
 
 	var t int64
 	var pc *runProbe
@@ -563,61 +329,38 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 	}
 	wh := cfg.WaitHists
 
-	fi := cfg.Fault
-	var slots []literalMsg
-	var freeSlots []int32
-	alloc := func() int32 {
-		if len(freeSlots) > 0 {
-			i := freeSlots[len(freeSlots)-1]
-			freeSlots = freeSlots[:len(freeSlots)-1]
-			if pc != nil {
-				pc.freeHits++
-			}
-			return i
-		}
-		if fi != nil {
-			fi.OnSlotAlloc() // may panic with a typed injected error
-		}
-		slots = append(slots, literalMsg{})
-		if pc != nil {
-			pc.slotAllocs++
-		}
-		return int32(len(slots) - 1)
-	}
-
-	rng := rand.New(rand.NewPCG(cfg.Seed^0xa5a5a5a5a5a5a5a5, cfg.Seed+1))
-	resample := cfg.serviceSampler()
-	if cfg.TrackOccupancy {
-		res.QueueDepth = make([]stats.Welford, n)
-		res.MaxQueueDepth = make([]int, n)
-	}
-
 	const (
 		entered = iota
 		droppedOut
 		blocked
 	)
-	// benter attempts to place slot si into its 0-based target stage st,
+	// enter attempts to place slot si into its 0-based target stage st,
 	// resolving the wiring and the failure policy. The message's logical
 	// arrival timestamp is never touched here: it was stamped when the
 	// message should have joined (trace arrival, or service start + 1),
 	// so blocked retries keep accumulating waiting time.
-	benter := func(si int32, st int) int {
-		m := &slots[si]
-		digit := int(uint32(m.dest)/g.div[st]) % g.k
-		port, drop, defl := g.resolve(st, m.row, digit)
-		if drop {
-			res.Dropped++
-			if pc != nil {
-				pc.dropSpan(si)
+	enter := func(si int32, st int) int {
+		m := &msl[si]
+		tbl := rt.next[st]
+		digit := rt.digit(st, m.dest)
+		port := tbl[int(m.row)*k+digit]
+		defl := false
+		if fail && g.failed[st][port] {
+			var ok bool
+			if port, ok = g.reroute(tbl, g.failed[st], m.row, digit); !ok {
+				res.Dropped++
+				if pc != nil {
+					pc.dropSpan(si)
+				}
+				ar.freeSlots = append(ar.freeSlots, si)
+				return droppedOut
 			}
-			freeSlots = append(freeSlots, si)
-			return droppedOut
+			defl = true
 		}
-		q := &queues[st][port]
-		if caps[st] > 0 && q.size() >= caps[st] {
+		q := &queues[st*rows+int(port)]
+		if st < len(caps) && caps[st] > 0 && q.size() >= caps[st] {
 			res.BlockedCycles++
-			if g.load != nil {
+			if track {
 				g.swBlock(st, port)
 			}
 			return blocked
@@ -625,65 +368,38 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 		if defl {
 			res.Deflected++
 		}
-		m.stage = int8(st + 1)
+		lit[si].stage = int8(st + 1)
 		m.row = port
 		q.push(si)
 		if pc != nil {
 			pc.enter(st)
 		}
-		if g.load != nil {
+		if track {
 			g.swJoin(st, port)
 		}
 		return entered
 	}
 
-	finish := func(si int32) {
-		m := &slots[si]
-		if m.meas {
-			res.Messages++
-			res.TotalWait.Add(int(m.wsum))
-			if res.StageCov != nil {
-				vec := make([]float64, n)
-				for j := 0; j < n; j++ {
-					vec[j] = float64(m.waits[j])
-				}
-				res.StageCov.Add(vec)
-			}
-		}
-		if pc != nil {
-			pc.finishObs(si, m.meas, int64(m.wsum))
-		}
-		freeSlots = append(freeSlots, si)
-	}
+	// Current schedule block, consumed by cursor as in the kernel: every
+	// message is offered to stage 1 at its arrival cycle, so a block is
+	// used up before the next pull.
+	var blkT, blkIn []int32
+	var blkDest []uint32
+	var blkSvc []int16
+	var blkMeas []bool
+	cur, blkLen := 0, 0
 
-	var batch []int32
-	var held []int32 // stage-1 arrivals waiting out a full first queue
-	var delivery [2][]int32
 	inNetwork := int64(0)
 	exhausted := false
 	covered := int64(0)
-	var buffered []int32
-	bufHead := 0
-	haveFail := g.failed != nil
 	maxInFlight := cfg.maxInFlight()
 	drainLimit := cfg.drainLimit(meta.Horizon)
 	for ; ; t++ {
-		if fi != nil {
-			if err := fi.AtCycle(ctx, t); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
+		if err := pollCycle(ctx, cfg, pc, t); err != nil {
+			res.truncate(t, false)
+			return res, err
 		}
-		if t&ctxCheckMask == 0 {
-			if pc != nil {
-				pc.tick(cfg.Probe, t)
-			}
-			if err := ctx.Err(); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if inNetwork+int64(len(held)) > maxInFlight {
+		if inNetwork+int64(len(ar.held)) > maxInFlight {
 			res.truncate(t, true)
 			return res, nil
 		}
@@ -701,48 +417,28 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 			}
 			covered = int64(blk.End)
 			res.Offered += int64(blk.Len())
-			for i := 0; i < blk.Len(); i++ {
-				si := alloc()
-				m := &slots[si]
-				m.arrivedAt = blk.T[i]
-				m.row = blk.In[i]
-				m.stage = 0
-				m.wsum = 0
-				m.dest = blk.Dest[i]
-				m.svc = blk.Svc[i]
-				m.meas = blk.Meas[i]
-				if cfg.TrackStageWaits {
-					if cap(m.waits) < n {
-						m.waits = make([]int16, n)
-					}
-					m.waits = m.waits[:n]
-				}
-				if pc != nil {
-					pc.admit(si, m.meas, int64(blk.T[i]), m.dest)
-				}
-				buffered = append(buffered, si)
-			}
+			blkT, blkIn, blkDest, blkSvc, blkMeas = blk.T, blk.In, blk.Dest, blk.Svc, blk.Meas
+			cur, blkLen = 0, blk.Len()
 		}
 
 		// 1. Blocked deliveries retry first, in (stage, row) order: a
 		// parked message has priority over this cycle's fresh traffic
 		// into the same queue.
 		for s := 0; s < n-1; s++ {
-			bs := blockedSlot[s]
-			for r := range bs {
-				si := bs[r]
+			ps := parked[s*rows : (s+1)*rows]
+			for r, si := range ps {
 				if si < 0 {
 					continue
 				}
-				switch benter(si, s+1) {
+				switch enter(si, s+1) {
 				case entered:
-					bs[r] = -1
-					if g.load != nil {
+					ps[r] = -1
+					if track {
 						g.swLeave(s, int32(r))
 					}
 				case droppedOut:
-					bs[r] = -1
-					if g.load != nil {
+					ps[r] = -1
+					if track {
 						g.swLeave(s, int32(r))
 					}
 					inNetwork--
@@ -752,45 +448,52 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 
 		// 2. Injections: held arrivals and this cycle's fresh trace
 		// arrivals compete in one shuffled batch.
-		batch = batch[:0]
-		batch = append(batch, held...)
-		held = held[:0]
-		for bufHead < len(buffered) && int64(slots[buffered[bufHead]].arrivedAt) == t {
-			batch = append(batch, buffered[bufHead])
-			bufHead++
+		batch := append(ar.batch[:0], ar.held...)
+		ar.held = ar.held[:0]
+		for cur < blkLen && int64(blkT[cur]) == t {
+			si := ar.slot(cfg.Fault, pc, n, trackWaits)
+			msl, waits = ar.msl, ar.waits
+			if len(lit) < len(msl) {
+				ar.lit = growCopy(ar.lit, len(msl))
+				lit = ar.lit
+			}
+			msl[si] = mrec{dest: blkDest[cur], row: blkIn[cur], svc: blkSvc[cur], meas: blkMeas[cur]}
+			lit[si] = litRec{at: blkT[cur]}
+			if pc != nil {
+				pc.admit(si, blkMeas[cur], t, blkDest[cur])
+			}
+			batch = append(batch, si)
+			cur++
 		}
-		if bufHead == len(buffered) {
-			buffered = buffered[:0]
-			bufHead = 0
-		}
-		rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
+		ar.batch = batch
+		rng.shuffle(batch)
 		for _, si := range batch {
-			switch benter(si, 0) {
+			switch enter(si, 0) {
 			case entered:
 				inNetwork++
 				if pc != nil {
 					pc.active(inNetwork)
 				}
 			case blocked:
-				held = append(held, si)
+				ar.held = append(ar.held, si)
 			}
 		}
 
 		// 3. Fresh deliveries (service started at t-1) enter their next
 		// stage; a full queue parks the message on its sender port.
-		slot := delivery[t&1]
-		delivery[t&1] = delivery[t&1][:0]
-		rng.Shuffle(len(slot), func(a, b int) { slot[a], slot[b] = slot[b], slot[a] })
-		for _, si := range slot {
-			m := &slots[si]
-			st := int(m.stage) // 0-based target = 1-based current
-			switch benter(si, st) {
+		fresh := ar.deliv[t&1]
+		ar.deliv[t&1] = fresh[:0]
+		rng.shuffle(fresh)
+		for _, si := range fresh {
+			st := int(lit[si].stage) // 0-based target = 1-based current
+			switch enter(si, st) {
 			case droppedOut:
 				inNetwork--
 			case blocked:
-				blockedSlot[st-1][m.row] = si
-				if g.load != nil {
-					g.swJoin(st-1, m.row) // parked on the sender port
+				row := msl[si].row
+				parked[(st-1)*rows+int(row)] = si
+				if track {
+					g.swJoin(st-1, row) // parked on the sender port
 				}
 			}
 		}
@@ -798,17 +501,17 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 		// 4. Service: every free, unstalled server starts its
 		// head-of-line message.
 		for s := 0; s < n; s++ {
-			qs := queues[s]
-			bs := []int32(nil)
+			qs := queues[s*rows : (s+1)*rows]
+			var ps []int32
 			if s < n-1 {
-				bs = blockedSlot[s]
+				ps = parked[s*rows : (s+1)*rows]
 			}
 			for r := range qs {
 				q := &qs[r]
 				if q.freeAt > t || q.size() == 0 {
 					continue
 				}
-				if bs != nil && bs[r] >= 0 {
+				if ps != nil && ps[r] >= 0 {
 					// Head-of-line blocking: the port's previous message
 					// is still parked awaiting downstream space.
 					continue
@@ -817,11 +520,11 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 				if pc != nil {
 					pc.leave(s, 1)
 				}
-				if g.load != nil {
+				if track {
 					g.swLeave(s, int32(r))
 				}
-				m := &slots[si]
-				w := int32(t) - m.arrivedAt
+				m, l := &msl[si], &lit[si]
+				w := int32(t) - l.at
 				m.wsum += w
 				if m.meas {
 					res.StageWait[s].Add(float64(w))
@@ -832,11 +535,11 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 						wh[s].Add(int(w))
 					}
 					if g.swh != nil {
-						g.swh[s][g.swid[s][int32(r)]].Add(int(w))
+						g.swh[s][g.swid[s][r]].Add(int(w))
 					}
 				}
-				if m.waits != nil {
-					m.waits[s] = int16(w)
+				if trackWaits {
+					waits[int(si)*n+s] = int16(w)
 				}
 				svc := int64(m.svc)
 				if resample != nil {
@@ -844,27 +547,41 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 				}
 				q.freeAt = t + svc
 				if pc != nil {
-					pc.stageObs(si, s, m.meas, int64(m.arrivedAt), t, t+svc)
+					pc.stageObs(si, s, m.meas, int64(l.at), t, t+svc)
 				}
 				if s+1 < n {
 					// Stamp the logical arrival at the next stage now:
 					// delivery is due at t+1 (cut-through) and blocked
 					// retries must keep accruing wait from that cycle.
-					m.arrivedAt = int32(t + 1)
-					delivery[(t+1)&1] = append(delivery[(t+1)&1], si)
-				} else {
-					if haveFail && m.row != int32(m.dest) {
-						res.Misrouted++
-					}
-					finish(si)
-					inNetwork--
+					l.at = int32(t + 1)
+					ar.deliv[(t+1)&1] = append(ar.deliv[(t+1)&1], si)
+					continue
 				}
+				if fail && m.row != int32(m.dest) {
+					res.Misrouted++
+				}
+				if m.meas {
+					res.Messages++
+					res.TotalWait.Add(int(m.wsum))
+					if res.StageCov != nil {
+						base := int(si) * n
+						for j := 0; j < n; j++ {
+							vec[j] = float64(waits[base+j])
+						}
+						res.StageCov.Add(vec)
+					}
+				}
+				if pc != nil {
+					pc.finishObs(si, m.meas, int64(m.wsum))
+				}
+				ar.freeSlots = append(ar.freeSlots, si)
+				inNetwork--
 			}
 		}
 
 		if cfg.TrackOccupancy && t >= int64(cfg.Warmup) && t < int64(meta.Horizon) {
 			for s := 0; s < n; s++ {
-				qs := queues[s]
+				qs := queues[s*rows : (s+1)*rows]
 				for r := range qs {
 					occ := qs[r].size()
 					if qs[r].freeAt > t {
@@ -878,7 +595,7 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 			}
 		}
 
-		if exhausted && bufHead == len(buffered) && len(held) == 0 && inNetwork == 0 {
+		if exhausted && cur == blkLen && len(ar.held) == 0 && inNetwork == 0 {
 			break
 		}
 		if t > drainLimit {

@@ -107,8 +107,8 @@ func TestGraphCollapsesToStageModel(t *testing.T) {
 
 // checkGraphNoLeaks asserts the graph engine's cycle loop left nothing
 // behind: goroutine count back to baseline (within the polling budget)
-// and no arena blocks live — the graph engine must not borrow from the
-// kernel's arena pool at all.
+// and no arena blocks live — both modes run on a checked-out kernel
+// arena, and every exit path must return it.
 func checkGraphNoLeaks(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -339,6 +339,28 @@ func TestGraphHeterogeneousBuffers(t *testing.T) {
 	// Backpressure must inflate the mean wait, never deflate it.
 	if bres.MeanTotalWait() < committed.MeanTotalWait() {
 		t.Fatalf("blocking mean wait %g below committed %g", bres.MeanTotalWait(), committed.MeanTotalWait())
+	}
+}
+
+// TestGraphBlockingStageWaitsAllocs: per-stage wait tracking in
+// blocking mode costs a fixed handful of allocations per run (the
+// covariance matrix), not one per measured message — the waits live in
+// the arena and the covariance vector is one buffer per run.
+func TestGraphBlockingStageWaitsAllocs(t *testing.T) {
+	cfg := Config{K: 2, Stages: 4, P: 0.5, Cycles: 2000, Warmup: 200, Seed: 5,
+		Topology: topology.Omega, StageBuffers: []int{4, 4, 4, 4}}
+	tracked := cfg
+	tracked.TrackStageWaits = true
+	allocs := func(c *Config) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RunGraph(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, withWaits := allocs(&cfg), allocs(&tracked)
+	if extra := withWaits - base; extra > 16 {
+		t.Fatalf("TrackStageWaits added %.0f allocations per run (%.0f vs %.0f)", extra, withWaits, base)
 	}
 }
 

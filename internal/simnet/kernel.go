@@ -3,21 +3,20 @@ package simnet
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"banyan/internal/stats"
 )
 
 // RunKernelSource executes the batch kernel against an arrival source.
 //
-// The kernel is the production fast engine (Run, RunCtx and RunTrace
-// all route here): a batched, structure-of-arrays rewrite of the
-// message-level algorithm in RunSource. It produces byte-identical
-// Results to the reference engine at every seed — same RNG stream, same
-// batch orders, same truncation decisions — while allocating nothing on
-// the hot path:
+// The kernel is the production message-level engine (Run, RunCtx,
+// RunTrace and the graph engine's committed mode all route here): a
+// batched, structure-of-arrays rewrite of the message-level algorithm
+// in RunSource. It produces byte-identical Results to the reference
+// engine at every seed — same RNG stream, same batch orders, same
+// truncation decisions — while allocating nothing on the hot path:
 //
-//   - in-flight message state lives in a pooled arena of flat slot
+//   - in-flight message state lives in a cached arena of flat slot
 //     records (indices instead of pointerful structs), sized by the
 //     in-flight population rather than the schedule block, so the
 //     working set stays cache-resident and is reused across
@@ -32,14 +31,18 @@ import (
 //   - stages with nothing scheduled are skipped by a counter check, so
 //     a cycle costs O(active stages + messages served), and runs of
 //     cycles with an empty network are skipped in one step;
-//   - routing uses shift/mask digit extraction when the radix is a
-//     power of two (the divisor table otherwise), and the batch shuffle
-//     is an inlined Fisher–Yates consuming draws exactly like
-//     math/rand/v2's Shuffle.
+//   - routing is data: every stage looks the next row up in a
+//     next[row·k+digit] table (one shared omega table for the stage
+//     model, the wiring's tables for the graph engine), reading the
+//     digit by shift and mask when the radix is a power of two and by
+//     division otherwise; the batch shuffle is krand's closure-free
+//     Fisher–Yates, consuming draws exactly like math/rand/v2's Shuffle.
 //
 // The source must deliver blocks whose messages are ordered by arrival
 // cycle (the ArrivalSource contract); the kernel consumes each block
-// with a cursor instead of re-bucketing its messages.
+// with a cursor instead of re-bucketing its messages. The other engine
+// bodies are RunSource, the laned kernel, the literal engine and the
+// graph engine's blocking mode.
 func RunKernelSource(cfg *Config, src ArrivalSource) (*Result, error) {
 	return RunKernelSourceCtx(context.Background(), cfg, src)
 }
@@ -50,9 +53,12 @@ func RunKernelSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*R
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.requireStageModel("fast"); err != nil {
+		return nil, err
+	}
 	ar := getArena()
 	defer ar.release()
-	return runKernel(ctx, cfg, src, ar)
+	return runKernel(ctx, cfg, src, ar, nil)
 }
 
 // runKernel is the batch-kernel engine body. It mirrors RunSourceCtx
@@ -60,11 +66,15 @@ func RunKernelSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*R
 // non-empty (cycle, stage) batch, two uniforms per message when service
 // is resampled), every statistics update and every guard fires in the
 // identical order, so the two engines are byte-identical at every seed.
-func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
+//
+// A nil g runs the stage model over the shared omega table. A non-nil g
+// runs the graph engine's committed mode over g's wiring, adding the
+// graph-only work to the general loop: the fail-link policy (Dropped,
+// Deflected, Misrouted), the per-switch backlog counters and the
+// per-switch wait histograms. Under the omega wiring with none of those
+// switched on, the two are the same computation.
+func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g *graphNet) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.requireStageModel("fast"); err != nil {
 		return nil, err
 	}
 	meta := src.Meta()
@@ -87,38 +97,38 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 	resample := cfg.serviceSampler()
 	ar.prepare(n, rowsN, trackWaits)
 
+	engine := "fast"
+	var rt *router
+	var swh [][]*stats.Hist
+	if g == nil {
+		rt = ar.stageRoute(meta)
+	} else {
+		engine = "graph"
+		rt = ar.wiredRoute(g.wir)
+		swh = g.swh
+	}
+	track := g != nil && g.load != nil // per-switch backlog counters
+	fail := g != nil && g.failed != nil
+
 	var t int64
 	var pc *runProbe
 	if cfg.Probe != nil {
-		pc = newRunProbe(cfg, n, "fast")
+		pc = newRunProbe(cfg, n, engine)
+		if g != nil {
+			pc.switchHW, pc.switchBlocked = g.hw, g.blocked
+		}
 		defer func() { pc.flush(cfg.Probe, t, res) }()
 	}
 	wh := cfg.WaitHists
-	fi := cfg.Fault
 
-	// Routing tables: shift/mask when the radix (hence the row count, a
-	// power of k) is a power of two, the divisor table otherwise.
-	k := meta.K
-	pow2 := k&(k-1) == 0
-	var logk uint
-	var kmask uint32
-	var rowMask int32
-	var shifts []uint
-	if pow2 {
-		logk = uint(bits.TrailingZeros32(uint32(k)))
-		kmask = uint32(k - 1)
-		rowMask = int32(rowsN - 1)
-		shifts = make([]uint, n)
-		for j := 0; j < n; j++ {
-			shifts[j] = logk * uint(n-1-j)
-		}
-	}
+	k := rt.k
+	pow2, logk, kmask := rt.pow2, rt.logk, rt.kmask
 
 	// fastBody selects the specialized service loop: nothing optional is
 	// switched on, so the per-message body reduces to routing, port
 	// contention and the two mandatory statistics.
 	fastBody := pc == nil && resample == nil && !trackWaits &&
-		res.HotWait == nil && wh == nil
+		res.HotWait == nil && wh == nil && !track && !fail && swh == nil
 
 	msl := ar.msl
 	waits := ar.waits
@@ -144,23 +154,9 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 	cur, blkLen := 0, 0
 
 	for ; ; t++ {
-		if fi != nil {
-			// Armed chaos faults fire on the executed-cycle sequence, which
-			// is deterministic for a config+seed; may panic, stall, or
-			// return a typed injected error.
-			if err := fi.AtCycle(ctx, t); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if t&ctxCheckMask == 0 {
-			if pc != nil {
-				pc.tick(cfg.Probe, t)
-			}
-			if err := ctx.Err(); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
+		if err := pollCycle(ctx, cfg, pc, t); err != nil {
+			res.truncate(t, false)
+			return res, err
 		}
 		if active > maxInFlight {
 			// Backlog growing without bound: the divergence signature of
@@ -172,6 +168,27 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			// Still holding messages past the drain budget: saturated.
 			res.truncate(t, true)
 			return res, nil
+		}
+		if track {
+			// Release the switch residencies expiring this cycle, before
+			// any join: a message routed at cycle t' with committed start
+			// s holds its switch over [t', s] and leaves it at s+1. Below
+			// the last stage that is the cycle its ring entry comes due:
+			// the bucket for t (no earlier cycle is pending) still holds
+			// it, with its row the port it holds. The last stage
+			// schedules its releases by switch id.
+			for j := 0; j < n-1; j++ {
+				if r := &rings[j]; r.count > 0 {
+					for _, si := range r.buf[t&r.mask] {
+						g.swLeave(j, msl[si].row)
+					}
+				}
+			}
+			ids := ar.rel.take(t, ar.batch[:0])
+			for _, id := range ids {
+				g.load[n-1][id]--
+			}
+			ar.batch = ids
 		}
 		// Pull schedule blocks until cycle t is fully covered.
 		for !exhausted && covered <= t {
@@ -201,11 +218,13 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			// idle cycles in one step. The rings are all empty, so their
 			// floors can jump with the clock; no guard below could have
 			// fired during the gap (arrival cycles never exceed the
-			// drain limit, and the backlog is zero).
-			if covered > t+1 {
+			// drain limit, and the backlog is zero). Pending last-stage
+			// switch releases hold the clock back until they fire.
+			if covered > t+1 && ar.rel.count == 0 {
 				for i := range rings {
 					rings[i].floor = covered
 				}
+				ar.rel.floor = covered
 				t = covered - 1
 			}
 			continue
@@ -220,28 +239,8 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 				// engine) and batch them for the shuffle.
 				bk = ar.batch[:0]
 				for cur < blkLen && int64(blkT[cur]) == t {
-					var si int32
-					if fn := len(ar.freeSlots); fn > 0 {
-						si = ar.freeSlots[fn-1]
-						ar.freeSlots = ar.freeSlots[:fn-1]
-						if pc != nil {
-							pc.freeHits++
-						}
-					} else {
-						if fi != nil {
-							fi.OnSlotAlloc() // may panic with a typed injected error
-						}
-						if ar.used == len(msl) {
-							ar.growSlots(n, trackWaits)
-							msl = ar.msl
-							waits = ar.waits
-						}
-						si = int32(ar.used)
-						ar.used++
-						if pc != nil {
-							pc.slotAllocs++
-						}
-					}
+					si := ar.slot(cfg.Fault, pc, n, trackWaits)
+					msl, waits = ar.msl, ar.waits
 					ms := blkMeas[cur]
 					msl[si] = mrec{
 						dest: blkDest[cur],
@@ -278,13 +277,10 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 					pc.active(active)
 				}
 			}
-			// Random service order among simultaneous arrivals: inlined
-			// Fisher–Yates drawing exactly like rand/v2's Shuffle.
-			for i := len(bk) - 1; i > 0; i-- {
-				j := int(rng.Uint64N(uint64(i + 1)))
-				bk[i], bk[j] = bk[j], bk[i]
-			}
+			// Random service order among simultaneous arrivals.
+			rng.shuffle(bk)
 			stageFree := free[stage*rowsN : (stage+1)*rowsN]
+			tbl := rt.next[stage]
 			sw := &res.StageWait[stage]
 			var hw *stats.Welford
 			if res.HotWait != nil {
@@ -302,27 +298,27 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			var shift uint
 			var div uint32
 			if pow2 {
-				shift = shifts[stage]
+				shift = rt.shift[stage]
 			} else {
-				div = meta.digitDiv[stage]
+				div = rt.div[stage]
 			}
 			if fastBody {
 				// Specialized service loop for the plain configuration
 				// (no probe, no resampling, no hot spot, no wait hists,
-				// no per-stage wait tracking). Every statistics update
-				// below appears in the general loop in the same order on
-				// the same values, so the two bodies are byte-identical;
-				// what the specialization buys is a branch-free body the
-				// compiler can register-allocate tightly, on the loop
-				// that runs once per message per stage.
+				// no per-stage wait tracking, no graph extras). Every
+				// statistics update below appears in the general loop in
+				// the same order on the same values, so the two bodies
+				// are byte-identical; what the specialization buys is a
+				// branch-free body the compiler can register-allocate
+				// tightly, on the loop that runs once per message per
+				// stage.
 				for _, si := range bk {
 					m := &msl[si]
 					var port int32
 					if pow2 {
-						port = (m.row<<logk | int32((m.dest>>shift)&kmask)) & rowMask
+						port = tbl[int(m.row)<<logk|int((m.dest>>shift)&kmask)]
 					} else {
-						digit := int(m.dest/div) % k
-						port = int32((int(m.row)*k + digit) % rowsN)
+						port = tbl[int(m.row)*k+int(m.dest/div)%k]
 					}
 					s := t
 					if f := stageFree[port]; f > s {
@@ -352,12 +348,26 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			for _, si := range bk {
 				m := &msl[si]
 				dest := m.dest
-				var port int32
+				var digit int
 				if pow2 {
-					port = (m.row<<logk | int32((dest>>shift)&kmask)) & rowMask
+					digit = int((dest >> shift) & kmask)
 				} else {
-					digit := int(dest/div) % k
-					port = int32((int(m.row)*k + digit) % rowsN)
+					digit = int(dest/div) % k
+				}
+				port := tbl[int(m.row)*k+digit]
+				if fail && g.failed[stage][port] {
+					var ok bool
+					if port, ok = g.reroute(tbl, g.failed[stage], m.row, digit); !ok {
+						res.Dropped++
+						if pc != nil {
+							pc.dropSpan(si)
+						}
+						ar.freeSlots = append(ar.freeSlots, si)
+						inFlight--
+						active--
+						continue
+					}
+					res.Deflected++
 				}
 				s := t
 				if f := stageFree[port]; f > s {
@@ -379,12 +389,21 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 					if whS != nil {
 						whS.Add(int(w))
 					}
+					if swh != nil {
+						swh[stage][g.swid[stage][port]].Add(int(w))
+					}
 				}
 				if pc != nil {
 					pc.stageObs(si, stage, ms, t, s, s+svc)
 				}
 				if trackWaits {
 					waits[int(si)*n+stage] = int16(w)
+				}
+				if track {
+					g.swJoin(stage, port)
+					if last {
+						ar.rel.push(s+1, g.swid[stage][port])
+					}
 				}
 				if !last {
 					m.row = port
@@ -393,6 +412,9 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 						pc.enter(stage + 1)
 					}
 				} else {
+					if fail && port != int32(dest) {
+						res.Misrouted++
+					}
 					if ms {
 						res.Messages++
 						res.TotalWait.Add(int(m.wsum))

@@ -80,7 +80,7 @@ func RunLanes(cfgs []*Config) ([]*Result, []error) {
 // Every lane is bit-identical to the scalar engine at the same seed:
 // same RNG draw sequence, same statistics update order, same truncation
 // decisions, same probe counter totals. Lanes exist to amortize the
-// per-replication fixed costs — engine setup, arena pool round-trips,
+// per-replication fixed costs — engine setup, arena cache round-trips,
 // the service-distribution alias table, idle-gap skipping — across
 // replications sharing one clock, not to change a single bit of any
 // replication's output.
@@ -168,7 +168,8 @@ func RunLanesCtx(ctx context.Context, cfgs []*Config) ([]*Result, []error) {
 		}
 	}()
 
-	// Routing tables, exactly as in runKernel.
+	// Routing arithmetic: the closed-form omega step (runKernel reads the
+	// same rows from its shared table).
 	k := meta.K
 	pow2 := k&(k-1) == 0
 	var logk uint

@@ -8,25 +8,35 @@ import (
 	"banyan/internal/stats"
 )
 
-// literalQueue is one output-port FIFO of the literal engine.
+// literalQueue is one output-port FIFO of the literal engine and of
+// the graph engine's blocking mode: a ring of in-flight slot indices
+// whose power-of-two capacity grows to the deepest occupancy seen and
+// is then kept, so a queue reused across runs stops allocating.
 type literalQueue struct {
-	items  []int32 // in-flight slot indices, FIFO
-	head   int
-	freeAt int64 // first cycle the server may start the next message
+	items  []int32 // ring storage, len 0 or a power of two
+	head   int     // ring index of the head-of-line entry
+	n      int     // entries queued
+	freeAt int64   // first cycle the server may start the next message
 }
 
-func (q *literalQueue) size() int { return len(q.items) - q.head }
+func (q *literalQueue) size() int { return q.n }
 
-func (q *literalQueue) push(i int32) { q.items = append(q.items, i) }
+func (q *literalQueue) push(i int32) {
+	if q.n == len(q.items) {
+		ni := make([]int32, max(4, 2*len(q.items)))
+		for j := 0; j < q.n; j++ {
+			ni[j] = q.items[(q.head+j)&(len(q.items)-1)]
+		}
+		q.items, q.head = ni, 0
+	}
+	q.items[(q.head+q.n)&(len(q.items)-1)] = i
+	q.n++
+}
 
 func (q *literalQueue) pop() int32 {
 	v := q.items[q.head]
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
+	q.head = (q.head + 1) & (len(q.items) - 1)
+	q.n--
 	return v
 }
 
@@ -194,20 +204,9 @@ func RunLiteralSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*
 	maxInFlight := cfg.maxInFlight()
 	drainLimit := cfg.drainLimit(meta.Horizon)
 	for ; ; t++ {
-		if fi != nil {
-			if err := fi.AtCycle(ctx, t); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if t&ctxCheckMask == 0 {
-			if pc != nil {
-				pc.tick(cfg.Probe, t)
-			}
-			if err := ctx.Err(); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
+		if err := pollCycle(ctx, cfg, pc, t); err != nil {
+			res.truncate(t, false)
+			return res, err
 		}
 		if inNetwork > maxInFlight {
 			// Queued messages growing without bound: the divergence
